@@ -421,18 +421,7 @@ let coverage_cmd =
 
 (* ---------- verify: symbolic whole-spec-space verification ---------- *)
 
-let max_pairs_arg =
-  Arg.(
-    value
-    & opt int 100_000
-    & info [ "max-pairs" ] ~docv:"N"
-        ~doc:
-          "Per-location budget for the symbolic pair scan; past it the \
-           scan is reported truncated and the no-steal replay is kept \
-           (the verdict stays sound, the symbolic detail partial).")
-
-let do_verify program scale json reach max_pairs jobs max_events deadline_s
-    metrics =
+let do_verify program scale json reach jobs max_events deadline_s metrics =
   if jobs < 0 then begin
     Printf.eprintf "--jobs must be >= 0 (0 = one worker per core)\n";
     exit 2
@@ -440,7 +429,7 @@ let do_verify program scale json reach max_pairs jobs max_events deadline_s
   let prog = resolve_program ~scale program in
   let with_obs = metrics <> None in
   match
-    An.Witness.verify ?reach ~max_pairs ~jobs ?max_events ?deadline:deadline_s
+    An.Witness.verify ?reach ~jobs ?max_events ?deadline:deadline_s
       ~with_obs ~name:program prog
   with
   | Error f ->
@@ -474,7 +463,7 @@ let verify_cmd =
     (Cmd.info "verify" ~doc)
     Term.(
       const do_verify $ program_arg $ scale_arg $ json_arg $ reach_arg
-      $ max_pairs_arg $ jobs_arg $ max_events_arg $ deadline_arg $ metrics_arg)
+      $ jobs_arg $ max_events_arg $ deadline_arg $ metrics_arg)
 
 (* ---------- lint ---------- *)
 
@@ -507,10 +496,11 @@ let do_lint program all scale reach json dot_out baseline write_baseline =
             | Error msg ->
                 Printf.printf "%s: %s\n" name msg;
                 incr failures);
-            (* R006 needs the symbolic verification result; a crashing
-               program just loses that rule (contained above). *)
+            (* R006 needs the symbolic verification result, which reuses
+               this IR's recorded run; a crashing program just loses that
+               rule (contained above). *)
             let verify =
-              match An.Witness.verify ?reach ~name prog with
+              match An.Witness.verify ?reach ~ir ~name prog with
               | Ok w -> Some w
               | Error _ -> None
             in

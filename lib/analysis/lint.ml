@@ -1,4 +1,5 @@
 open Rader_runtime
+module Coverage = Rader_core.Coverage
 
 type severity = Error | Warning | Info
 
@@ -57,92 +58,51 @@ let r001 ir =
 
 (* ---------- R002 / R005: location-pair rules ---------- *)
 
-let by_loc ir =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (a : Engine.access) ->
-      let prev = try Hashtbl.find tbl a.Engine.a_loc with Not_found -> [] in
-      Hashtbl.replace tbl a.Engine.a_loc (a :: prev))
-    (Ir.accesses ir);
-  (* per-loc lists back in serial order; locs ascending for determinism *)
-  List.sort compare (Hashtbl.fold (fun l accs acc -> (l, List.rev accs) :: acc) tbl [])
-
-let loc_rules (ir : Ir.t) ~max_pairs =
-  let parallel u v = u <> v && Rader_dag.Sp_tree.parallel ir.Ir.ix u v in
-  List.concat_map
-    (fun (loc, accs) ->
-      let budget = ref max_pairs in
-      (* first witness pair satisfying [pick], scanning serial order *)
-      let find_pair pick =
-        let rec outer = function
-          | [] -> None
-          | (x : Engine.access) :: rest ->
-              let rec inner = function
-                | [] -> outer rest
-                | (y : Engine.access) :: more ->
-                    if !budget <= 0 then None
-                    else begin
-                      decr budget;
-                      if pick x y && parallel x.Engine.a_strand y.Engine.a_strand
-                      then Some (x, y)
-                      else inner more
-                    end
-              in
-              inner rest
-        in
-        outer accs
-      in
-      let raw_race =
-        find_pair (fun x y ->
-            (not x.Engine.a_view_aware)
-            && (not y.Engine.a_view_aware)
-            && (x.Engine.a_is_write || y.Engine.a_is_write))
-      in
-      let escape =
-        find_pair (fun x y ->
-            x.Engine.a_view_aware <> y.Engine.a_view_aware
-            && (x.Engine.a_is_write || y.Engine.a_is_write))
-      in
-      let f002 =
-        match raw_race with
-        | None -> []
-        | Some (x, y) ->
-            [
-              {
-                rule = "R002";
-                severity = Error;
-                subject = loc_subject ir loc;
-                message =
-                  Printf.sprintf
-                    "raw accesses to %s at strands %d and %d are logically \
-                     parallel and one writes: determinacy race"
-                    (Ir.loc_label ir loc) x.Engine.a_strand y.Engine.a_strand;
-                strands = [ x.Engine.a_strand; y.Engine.a_strand ];
-              };
-            ]
-      in
-      let f005 =
-        match escape with
-        | None -> []
-        | Some (x, y) ->
-            let va, vo = if x.Engine.a_view_aware then (x, y) else (y, x) in
-            [
-              {
-                rule = "R005";
-                severity = Warning;
-                subject = loc_subject ir loc;
-                message =
-                  Printf.sprintf
-                    "%s is touched by a view-aware frame (strand %d) and \
-                     raw code (strand %d) in parallel: a view escaped its \
-                     strand"
-                    (Ir.loc_label ir loc) va.Engine.a_strand vo.Engine.a_strand;
-                strands = [ va.Engine.a_strand; vo.Engine.a_strand ];
-              };
-            ]
-      in
-      f002 @ f005)
-    (by_loc ir)
+(* Both witness pairs come out of the exact no-steal scan: R002's
+   both-oblivious pair is the scan's spec-independent witness, R005's is
+   its view-escape pair — each the first in serial order. *)
+let loc_rules (ir : Ir.t) =
+  let scan = Symbolic.scan ir in
+  let f002 =
+    List.filter_map
+      (fun (ls : Coverage.loc_scan) ->
+        if not ls.Coverage.ls_always then None
+        else
+          let loc = ls.Coverage.ls_loc in
+          let x = ls.Coverage.ls_first.Engine.a_strand in
+          let y = ls.Coverage.ls_second.Engine.a_strand in
+          Some
+            {
+              rule = "R002";
+              severity = Error;
+              subject = loc_subject ir loc;
+              message =
+                Printf.sprintf
+                  "raw accesses to %s at strands %d and %d are logically \
+                   parallel and one writes: determinacy race"
+                  (Ir.loc_label ir loc) x y;
+              strands = [ x; y ];
+            })
+      scan.Coverage.scan_racy
+  in
+  let f005 =
+    List.map
+      (fun (loc, (x : Engine.access), (y : Engine.access)) ->
+        let va, vo = if x.Engine.a_view_aware then (x, y) else (y, x) in
+        {
+          rule = "R005";
+          severity = Warning;
+          subject = loc_subject ir loc;
+          message =
+            Printf.sprintf
+              "%s is touched by a view-aware frame (strand %d) and raw code \
+               (strand %d) in parallel: a view escaped its strand"
+              (Ir.loc_label ir loc) va.Engine.a_strand vo.Engine.a_strand;
+          strands = [ va.Engine.a_strand; vo.Engine.a_strand ];
+        })
+      scan.Coverage.scan_escapes
+  in
+  f002 @ f005
 
 (* ---------- R003: dead reducers ---------- *)
 
@@ -223,9 +183,9 @@ let r006 ir (w : Witness.t) =
 
 (* ---------- driver ---------- *)
 
-let run ?program ?verify ?(max_pairs = 100_000) ir =
+let run ?program ?verify ir =
   let findings =
-    r001 ir @ loc_rules ir ~max_pairs @ r003 ir
+    r001 ir @ loc_rules ir @ r003 ir
     @ (match program with None -> [] | Some p -> r004 p)
     @ (match verify with None -> [] | Some w -> r006 ir w)
   in

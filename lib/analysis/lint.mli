@@ -56,13 +56,12 @@ val rules : (string * severity * string) list
     id then subject. [program] enables the differential rule R004 (it
     needs two extra replays); without it R004 is skipped. [verify]
     enables R006, fed by the symbolic verification result.
-    Location-pair rules (R002/R005) examine at most [max_pairs] strand
-    pairs per location (default [100_000]) and stop at the first witness
-    per (rule, location). *)
+    Location-pair rules (R002/R005) report the first witness pair in
+    serial order per (rule, location), from the exact scan of
+    {!Symbolic.scan}. *)
 val run :
   ?program:(Rader_runtime.Engine.ctx -> int) ->
   ?verify:Witness.t ->
-  ?max_pairs:int ->
   Ir.t ->
   finding list
 

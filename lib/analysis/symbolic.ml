@@ -35,8 +35,10 @@ type t = {
   n_family : int;  (** size of the full §7 family for this profile *)
 }
 
-let analyze ?max_pairs ~prof (ir : Ir.t) =
-  let scan = Coverage.scan_trace ?max_pairs ir.Ir.trace in
+let scan (ir : Ir.t) = Coverage.scan_trace ir.Ir.ix ir.Ir.trace
+
+let analyze ?scan:pre ~prof (ir : Ir.t) =
+  let scan = match pre with Some s -> s | None -> scan ir in
   let family = Coverage.all_specs ~k:prof.Coverage.k ~d:prof.Coverage.d in
   let residual =
     List.filter
@@ -67,17 +69,12 @@ let witness_pair t loc =
 let certificate t loc =
   List.assoc_opt loc t.scan.Coverage.scan_clean
 
-let complete t = not t.scan.Coverage.scan_truncated
-
 (* Specs a sound checker must still replay: the no-steal spec whenever the
-   scan found (or could have missed) a race there, then the residual set.
-   Empty exactly when the whole family is proved race-free with zero
-   replays. *)
+   scan found a race there, then the residual set. Empty exactly when the
+   whole family is proved race-free with zero replays. *)
 let replay_specs t =
-  let need_none =
-    t.scan.Coverage.scan_racy <> [] || t.scan.Coverage.scan_truncated
-  in
-  (if need_none then [ Steal_spec.none ] else []) @ t.residual
+  (if t.scan.Coverage.scan_racy <> [] then [ Steal_spec.none ] else [])
+  @ t.residual
 
 let certificate_string = function
   | Coverage.No_parallel_pair -> "no parallel pair"

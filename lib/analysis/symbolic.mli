@@ -31,10 +31,14 @@ type t = {
   n_family : int;  (** full §7 family size for this profile *)
 }
 
-(** [analyze ~prof ir] computes the symbolic verdict. [max_pairs] bounds
-    the per-location pair scan (default 100_000); blowing it marks the
-    scan truncated and {!complete} false. *)
-val analyze : ?max_pairs:int -> prof:Rader_core.Coverage.profile -> Ir.t -> t
+(** [scan ir] is the exact no-steal scan of the IR's recorded run
+    ({!Rader_core.Coverage.scan_trace} over the IR's own tree index). *)
+val scan : Ir.t -> Rader_core.Coverage.scan
+
+(** [analyze ~prof ir] computes the symbolic verdict. [scan], when given,
+    must be [scan ir]; it is computed otherwise. *)
+val analyze :
+  ?scan:Rader_core.Coverage.scan -> prof:Rader_core.Coverage.profile -> Ir.t -> t
 
 (** Locations racy in the no-steal execution, ascending. *)
 val racy_locs : t -> int list
@@ -52,14 +56,9 @@ val witness_pair :
     location ([None] for racy or unscanned locations). *)
 val certificate : t -> int -> Rader_core.Coverage.certificate option
 
-(** [complete t] — did the pair scan finish within budget? When false,
-    verdicts are advisory and a sound checker falls back to replaying the
-    no-steal spec as well. *)
-val complete : t -> bool
-
 (** [replay_specs t] is the exact replay set a sound whole-family check
-    still needs: [Steal_spec.none] when the scan found (or could have
-    missed) a no-steal race, then the residual specs, in family order.
+    still needs: [Steal_spec.none] when the scan found a no-steal race,
+    then the residual specs, in family order.
     [[]] = the family is proved race-free with zero replays. *)
 val replay_specs : t -> Rader_runtime.Steal_spec.t list
 

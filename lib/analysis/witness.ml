@@ -7,7 +7,7 @@ module Engine = Rader_runtime.Engine
 (* The `rader verify` driver: symbolic whole-family verdict + replay
    confirmation of every witness. Soundness comes from running the actual
    sweep over exactly [Symbolic.replay_specs] — done by
-   [Coverage.exhaustive_check ~symbolic:true], whose racy_locs/reports are
+   [Coverage.exhaustive_check ~scan], whose racy_locs/reports are
    byte-identical to the enumerated sweep by the relevance lemma — so the
    symbolic layer here only *explains* (witness pairs, certificates,
    spec-independence) and *accelerates* (skipped replays); it never
@@ -43,7 +43,6 @@ type t = {
   unconfirmed : int list;
       (** scan-claimed racy locations no replay confirmed — a symbolic
           over-approximation; the replayed verdict above stands *)
-  truncated : bool;  (** pair scan blew its budget somewhere *)
   incomplete : (string * Diag.failure) list;
   complete : bool;
   res : Coverage.result;  (** the underlying sweep, for metrics/obs *)
@@ -52,16 +51,19 @@ type t = {
 let access_kind_str (a : Engine.access) =
   if a.Engine.a_is_write then "write" else "read"
 
-let verify ?reach ?max_pairs ?jobs ?max_events ?deadline ?with_obs ~name
-    program =
-  match Ir.of_program program with
+let verify ?reach ?ir ?jobs ?max_events ?deadline ?with_obs ~name program =
+  let ir = match ir with Some ir -> Ok ir | None -> Ir.of_program program in
+  match ir with
   | Error f -> Error f
   | Ok ir ->
+      (* the one recorded run feeds both the sweep's replay selection and
+         the witness table *)
+      let scan = Symbolic.scan ir in
       let res =
-        Coverage.exhaustive_check ~symbolic:true ?max_pairs ?reach ?jobs
-          ?max_events ?deadline ?with_obs program
+        Coverage.exhaustive_check ~scan ?reach ?jobs ?max_events ?deadline
+          ?with_obs program
       in
-      let sym = Symbolic.analyze ?max_pairs ~prof:res.Coverage.prof ir in
+      let sym = Symbolic.analyze ~scan ~prof:res.Coverage.prof ir in
       let crashed =
         List.filter_map
           (fun (n, _) -> if n = "profile" then None else Some n)
@@ -165,7 +167,6 @@ let verify ?reach ?max_pairs ?jobs ?max_events ?deadline ?with_obs ~name
           rows;
           spec_independent;
           unconfirmed;
-          truncated = not (Symbolic.complete sym);
           incomplete = res.Coverage.incomplete;
           complete = res.Coverage.complete;
           res;
@@ -206,7 +207,7 @@ let to_table t =
         skipped %d\n"
        t.n_specs t.prof.Coverage.k t.prof.Coverage.d t.prof.Coverage.k_rel
        t.n_residual t.n_replays t.n_skipped);
-  if t.racy_locs = [] && not t.truncated && t.complete then begin
+  if t.racy_locs = [] && t.complete then begin
     Buffer.add_string buf
       (Printf.sprintf "race-free across %d specs, %d replays\n" t.n_specs
          t.n_replays);
@@ -238,10 +239,6 @@ let to_table t =
          (String.concat ""
             (List.map (fun l -> " " ^ string_of_int l) t.racy_locs)))
   end;
-  if t.truncated then
-    Buffer.add_string buf
-      "note: pair scan truncated; no-steal replay kept (verdict sound, \
-       symbolic detail partial)\n";
   List.iter
     (fun loc ->
       Buffer.add_string buf
@@ -271,14 +268,16 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* The scan is exact, so ["truncated"] is constantly false; the field stays
+   in the JSON until the schema is versioned. *)
 let to_json t =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\"program\":\"%s\",\"n_specs\":%d,\"n_replays\":%d,\"n_skipped\":%d,\
-        \"n_residual\":%d,\"complete\":%b,\"truncated\":%b,"
+        \"n_residual\":%d,\"complete\":%b,\"truncated\":false,"
        (json_escape t.program) t.n_specs t.n_replays t.n_skipped t.n_residual
-       t.complete t.truncated);
+       t.complete);
   Buffer.add_string buf
     (Printf.sprintf "\"racy_locs\":[%s],"
        (String.concat "," (List.map string_of_int t.racy_locs)));

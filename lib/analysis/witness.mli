@@ -2,7 +2,7 @@
 
     Joins the {!Symbolic} whole-family verdict with the sweep that
     replays exactly {!Symbolic.replay_specs}
-    ([Coverage.exhaustive_check ~symbolic:true]): every reported race is
+    ([Coverage.exhaustive_check ~scan]): every reported race is
     backed by a replay-confirmed witness steal specification (the first
     spec, in canonical family order, whose replay elicited it — the
     lexicographic minimum of the family under that order), every clean
@@ -42,20 +42,20 @@ type t = {
   rows : row list;
   spec_independent : int list;
   unconfirmed : int list;
-  truncated : bool;
   incomplete : (string * Rader_core.Diag.failure) list;
   complete : bool;
   res : Rader_core.Coverage.result;
 }
 
 (** [verify ~name program] runs the symbolic verification pipeline: one
-    profiling run, one recorded IR run, the scan, and replays of exactly
-    the witness specs. [Error] if the IR run crashes (contained) — use the
-    enumerated sweep for crashing programs. Parameters as in
-    [Coverage.exhaustive_check]. *)
+    profiling run, one recorded IR run (skipped when [ir], the
+    {!Ir.of_program} of this same program, is given), the exact scan of
+    that run, and replays of exactly the witness specs. [Error] if the IR
+    run crashes (contained) — use the enumerated sweep for crashing
+    programs. Other parameters as in [Coverage.exhaustive_check]. *)
 val verify :
   ?reach:Rader_reach.Reach.backend ->
-  ?max_pairs:int ->
+  ?ir:Ir.t ->
   ?jobs:int ->
   ?max_events:int ->
   ?deadline:float ->

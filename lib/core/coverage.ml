@@ -213,7 +213,14 @@ let all_specs ~k ~d =
    regardless of view ids — the location races on every spec of the
    family. That is the strongest verdict the analyzer can issue (lint
    R006) and the basis for skipping the no-steal replay entirely when the
-   scan proves it clean. *)
+   scan proves it clean.
+
+   The scan is exact and budget-free. Accesses are logged in serial
+   (English) order, so an earlier x and a later y are parallel iff y comes
+   first in Hebrew order (Lemma 4). A backward sweep keeps, per
+   (view-aware, write) class, a Fenwick prefix-min tree over Hebrew rank
+   of the serial indices already swept: the last x to find a partner is
+   the lexicographically first pair. O(T log T); DESIGN.md §14. *)
 
 type certificate =
   | No_parallel_pair  (** no two accesses are ever logically parallel *)
@@ -234,77 +241,87 @@ type loc_scan = {
 type scan = {
   scan_racy : loc_scan list;  (** ascending location *)
   scan_clean : (int * certificate) list;  (** ascending location *)
-  scan_truncated : bool;
-      (** some location blew the pair budget: its verdict (and every
-          skip decision resting on scan completeness) is void *)
+  scan_escapes :
+    (int * Rader_runtime.Engine.access * Rader_runtime.Engine.access) list;
+      (** ascending location: first parallel write-bearing pair whose
+          endpoints differ in view-awareness (lint R005) *)
 }
 
-let scan_trace ?(max_pairs = 100_000) (trace : Trace.t) =
-  let ix = Rader_dag.Sp_tree.index (Trace.sp_tree trace) in
+let scan_trace ix (trace : Trace.t) =
+  let heb (a : Engine.access) = Rader_dag.Sp_tree.hebrew ix a.Engine.a_strand in
+  (* per location, accesses latest first *)
   let by_loc = Hashtbl.create 64 in
+  let n = ref 0 in
   List.iter
     (fun (a : Engine.access) ->
-      let prev =
-        try Hashtbl.find by_loc a.Engine.a_loc with Not_found -> []
-      in
+      n := max !n (heb a + 1);
+      let prev = try Hashtbl.find by_loc a.Engine.a_loc with Not_found -> [] in
       Hashtbl.replace by_loc a.Engine.a_loc (a :: prev))
     trace.Trace.accesses;
   let locs =
-    List.sort compare
-      (Hashtbl.fold (fun l accs acc -> (l, List.rev accs) :: acc) by_loc [])
+    List.sort compare (Hashtbl.fold (fun l accs acc -> (l, accs) :: acc) by_loc [])
   in
-  let truncated = ref false in
-  let racy = ref [] in
-  let clean = ref [] in
+  (* Fenwick trees over 1-based Hebrew positions, one per class
+     [2 * view_aware + is_write], cleared after each location *)
+  let none = max_int in
+  let fen = Array.init 4 (fun _ -> Array.make (!n + 1) none) in
+  let cls (a : Engine.access) =
+    (if a.Engine.a_view_aware then 2 else 0) + if a.Engine.a_is_write then 1 else 0
+  in
+  let query c h =
+    let t = fen.(c) and r = ref none and p = ref h in
+    while !p > 0 do
+      if t.(!p) < !r then r := t.(!p);
+      p := !p - (!p land - !p)
+    done;
+    !r
+  in
+  let update c h f =
+    let t = fen.(c) and p = ref (h + 1) in
+    while !p <= !n do
+      t.(!p) <- f t.(!p);
+      p := !p + (!p land - !p)
+    done
+  in
+  let racy = ref [] and clean = ref [] and escapes = ref [] in
   List.iter
-    (fun (loc, accs) ->
-      let budget = ref max_pairs in
-      let any_parallel = ref false in
-      let suppressed = ref false in
-      let first_racy = ref None in
-      let first_always = ref None in
-      (try
-         let rec outer = function
-           | [] -> ()
-           | (x : Engine.access) :: rest ->
-               let rec inner = function
-                 | [] -> outer rest
-                 | (y : Engine.access) :: more ->
-                     if !budget <= 0 then begin
-                       truncated := true;
-                       raise Exit
-                     end;
-                     decr budget;
-                     if
-                       x.Engine.a_strand <> y.Engine.a_strand
-                       && Rader_dag.Sp_tree.parallel ix x.Engine.a_strand
-                            y.Engine.a_strand
-                     then begin
-                       any_parallel := true;
-                       if x.Engine.a_is_write || y.Engine.a_is_write then
-                         if not y.Engine.a_view_aware then begin
-                           if !first_racy = None then first_racy := Some (x, y);
-                           if not x.Engine.a_view_aware then begin
-                             first_always := Some (x, y);
-                             raise Exit (* strongest verdict: stop *)
-                           end
-                         end
-                         else suppressed := true
-                     end;
-                     inner more
-               in
-               inner rest
-         in
-         outer accs
-       with Exit -> ());
-      match (!first_always, !first_racy) with
-      | Some (x, y), _ ->
+    (fun (loc, latest_first) ->
+      let accs = Array.of_list (List.rev latest_first) in
+      let first_racy = ref None and first_always = ref None in
+      let first_escape = ref None in
+      let any_parallel = ref false and suppressed = ref false in
+      for i = Array.length accs - 1 downto 0 do
+        let x = accs.(i) in
+        let h = heb x in
+        (* [qc]: serial index of x's first parallel later access of
+           class c, or [none] *)
+        let q0 = query 0 h and q1 = query 1 h in
+        let q2 = query 2 h and q3 = query 3 h in
+        (* partners that make a write-bearing pair with x, by the later
+           endpoint's view-awareness *)
+        let w = x.Engine.a_is_write in
+        let obl = if w then min q0 q1 else q1 in
+        let va = if w then min q2 q3 else q3 in
+        if obl < none then begin
+          first_racy := Some (i, obl);
+          if not x.Engine.a_view_aware then first_always := Some (i, obl)
+        end;
+        if va < none then suppressed := true;
+        let esc = if x.Engine.a_view_aware then obl else va in
+        if esc < none then first_escape := Some (i, esc);
+        if min (min q0 q1) (min q2 q3) < none then any_parallel := true;
+        update (cls x) h (fun v -> if i < v then i else v)
+      done;
+      Array.iter (fun a -> update (cls a) (heb a) (fun _ -> none)) accs;
+      (match (!first_always, !first_racy) with
+      | Some (i, j), _ | None, Some (i, j) ->
           racy :=
-            { ls_loc = loc; ls_first = x; ls_second = y; ls_always = true }
-            :: !racy
-      | None, Some (x, y) ->
-          racy :=
-            { ls_loc = loc; ls_first = x; ls_second = y; ls_always = false }
+            {
+              ls_loc = loc;
+              ls_first = accs.(i);
+              ls_second = accs.(j);
+              ls_always = !first_always <> None;
+            }
             :: !racy
       | None, None ->
           let cert =
@@ -312,19 +329,16 @@ let scan_trace ?(max_pairs = 100_000) (trace : Trace.t) =
             else if !any_parallel then Parallel_reads_only
             else No_parallel_pair
           in
-          clean := (loc, cert) :: !clean)
+          clean := (loc, cert) :: !clean);
+      match !first_escape with
+      | Some (i, j) -> escapes := (loc, accs.(i), accs.(j)) :: !escapes
+      | None -> ())
     locs;
   {
     scan_racy = List.rev !racy;
     scan_clean = List.rev !clean;
-    scan_truncated = !truncated;
+    scan_escapes = List.rev !escapes;
   }
-
-let symbolic_scan ?max_pairs program =
-  let eng = Engine.create ~record:true () in
-  match Engine.run_result eng program with
-  | Error f -> Error f
-  | Ok _ -> Ok (scan_trace ?max_pairs (Trace.of_engine eng))
 
 type span = {
   span_spec : string;
@@ -378,7 +392,7 @@ type spec_outcome =
   | Not_run
 
 let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
-    ?(with_obs = false) ?(prune = false) ?(symbolic = false) ?max_pairs ?reach
+    ?(with_obs = false) ?(prune = false) ?(symbolic = false) ?scan ?reach
     program =
   let abs_deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline in
   let past_deadline () =
@@ -399,16 +413,22 @@ let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
   let prof_counters = Option.map Obs.since prof_snap in
   let specs = all_specs ~k:prof.k ~d:prof.d in
   let n_specs = List.length specs in
-  (* The symbolic fast path needs one extra recorded no-steal run; like
-     pruning it is sound only against a complete profile, and a crashing
-     program voids it too (fall back to the enumerated sweep). *)
+  (* The symbolic fast path needs a scan of a recorded no-steal run — the
+     caller's, or one extra recording; like pruning it is sound only
+     against a complete profile, and a crashing program voids it too (fall
+     back to the enumerated sweep). *)
+  let record_and_scan () =
+    let eng = Engine.create ~record:true () in
+    match Engine.run_result eng program with
+    | Error _ -> None
+    | Ok _ ->
+        let trace = Trace.of_engine eng in
+        Some (scan_trace (Rader_dag.Sp_tree.index (Trace.sp_tree trace)) trace)
+  in
   let sym =
-    if symbolic && prof_failure = None then
-      match
-        Obs.timed phase_profile (fun () -> symbolic_scan ?max_pairs program)
-      with
-      | Ok s -> Some s
-      | Error _ -> None
+    if prof_failure <> None then None
+    else if scan <> None then scan
+    else if symbolic then Obs.timed phase_profile record_and_scan
     else None
   in
   (* Pruning is sound only against a complete relevance profile: if the
@@ -418,11 +438,11 @@ let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
     | Some s ->
         (* Symbolic selection: every spec outside the residual set is
            provably verdict-identical to [Steal_spec.none] (the relevance
-           lemma), and [none] itself is needed only when the scan found —
-           or, truncated, could have missed — a no-steal race. *)
+           lemma), and [none] itself is needed only when the scan found a
+           no-steal race. *)
         let keep (sp : Steal_spec.t) =
           match sp.Steal_spec.shape with
-          | Steal_spec.Never -> s.scan_racy <> [] || s.scan_truncated
+          | Steal_spec.Never -> s.scan_racy <> []
           | _ -> spec_relevant prof sp
         in
         let kept = List.filter keep specs in

@@ -90,12 +90,12 @@ val all_specs : k:int -> d:int -> Rader_runtime.Steal_spec.t list
     is per-location complete because entries are only replaced by
     serially-later accesses and SP precedence is transitive). The scan
     recomputes that verdict from one recorded run with parse-tree Lemma-4
-    queries — no replay, no detector. Together with {!spec_relevant}
-    (every spec outside the residual set replays byte-identically to
-    [none]) it lets {!exhaustive_check}[ ~symbolic:true] cover the whole
-    §7 family with replays only for the no-steal witness and the residual
-    specs — and with {e zero} replays when the scan is clean and the
-    residual set empty. See DESIGN.md §14. *)
+    order labels — no replay, no detector, no budget. Together with
+    {!spec_relevant} (every spec outside the residual set replays
+    byte-identically to [none]) it lets {!exhaustive_check}[ ~symbolic:true]
+    cover the whole §7 family with replays only for the no-steal witness
+    and the residual specs — and with {e zero} replays when the scan is
+    clean and the residual set empty. See DESIGN.md §14. *)
 
 (** Why a location cannot race without steals, independently of the
     schedule. *)
@@ -110,34 +110,33 @@ type certificate =
 type loc_scan = {
   ls_loc : int;
   ls_first : Rader_runtime.Engine.access;
-      (** earlier endpoint of the witness pair (the first such pair in
-          serial scan order — the minimality the witness table reports) *)
+      (** earlier endpoint of the witness pair (the lexicographically first
+          such pair in serial order — the minimality the witness table
+          reports) *)
   ls_second : Rader_runtime.Engine.access;  (** later endpoint *)
   ls_always : bool;
       (** both endpoints view-oblivious: the pair executes, stays
           parallel, and fires the later-endpoint-oblivious check under
-          {e every} spec of the family — racy on all of them (lint R006) *)
+          {e every} spec of the family — racy on all of them (lint R006).
+          When such a pair exists it is the witness, the first of its
+          kind. *)
 }
 
 type scan = {
   scan_racy : loc_scan list;  (** no-steal-racy locations, ascending *)
   scan_clean : (int * certificate) list;  (** clean locations, ascending *)
-  scan_truncated : bool;
-      (** some location blew the pair budget: scan-based skip decisions
-          are void (the sweep keeps the no-steal replay) *)
+  scan_escapes :
+    (int * Rader_runtime.Engine.access * Rader_runtime.Engine.access) list;
+      (** per location, ascending: the first parallel pair, at least one a
+          write, whose endpoints differ in view-awareness (lint R005) *)
 }
 
-(** [scan_trace trace] computes the symbolic no-steal verdict from a
-    recorded [Steal_spec.none] trace. [max_pairs] (default 100_000) bounds
-    the per-location pair scan; blowing it sets [scan_truncated]. *)
-val scan_trace : ?max_pairs:int -> Trace.t -> scan
-
-(** [symbolic_scan program] records one no-steal run and scans it.
-    [Error] if the program crashed (contained). *)
-val symbolic_scan :
-  ?max_pairs:int ->
-  (Rader_runtime.Engine.ctx -> 'a) ->
-  (scan, Diag.failure) result
+(** [scan_trace ix trace] computes the symbolic no-steal verdict from a
+    recorded [Steal_spec.none] trace, given the index of its SP parse tree
+    ({!Trace.sp_tree}). Exact, in O(T log T) for T accesses: one backward
+    sweep per location over Fenwick prefix-min trees keyed by Hebrew
+    rank. *)
+val scan_trace : Rader_dag.Sp_tree.indexed -> Trace.t -> scan
 
 type span = {
   span_spec : string;  (** steal-spec name this replay ran *)
@@ -169,9 +168,9 @@ type result = {
           replaying (0 without it); includes [Steal_spec.none] itself when
           the scan proved the no-steal execution race-free *)
   sym : scan option;
-      (** the symbolic scan, when [~symbolic] ran one (present even if
-          truncated; [None] when the scan's recorded run crashed and the
-          sweep fell back to enumeration) *)
+      (** the symbolic scan — the caller's [scan], or the one [~symbolic]
+          recorded ([None] when that recorded run crashed and the sweep
+          fell back to enumeration) *)
   n_run : int;  (** specs actually attempted (≤ [n_specs] under budgets) *)
   racy_locs : int list;  (** union over all runs, sorted *)
   reports : Report.t list;  (** deduplicated by location *)
@@ -226,15 +225,16 @@ type result = {
     replay). If the profiling run crashed, pruning is disabled for that
     sweep. Default false.
     @param symbolic compute the no-steal verdict symbolically (one extra
-    recorded run, see {!symbolic_scan}) and replay {e only} the witness
-    specs: the no-steal spec when the scan found (or, truncated, could
-    have missed) a race, plus the residual relevant specs. [racy_locs]
-    and [reports] stay byte-identical to the enumerated sweep — enforced
-    by property tests — while skipped specs count in [n_skipped]. A clean
-    scan over an empty residual set replays {e nothing}. Subsumes
-    [~prune]. Disabled (full fall-back, [sym = None] or [n_skipped = 0])
-    when the profiling or scan run crashes. Default false.
-    @param max_pairs per-location pair budget for the [~symbolic] scan.
+    recorded run and its {!scan_trace}) and replay {e only} the witness
+    specs: the no-steal spec when the scan found a race, plus the residual
+    relevant specs. [racy_locs] and [reports] stay byte-identical to the
+    enumerated sweep — enforced by property tests — while skipped specs
+    count in [n_skipped]. A clean scan over an empty residual set replays
+    {e nothing}. Subsumes [~prune]. Disabled (full fall-back, [sym = None]
+    or [n_skipped = 0]) when the profiling or scan run crashes. Default
+    false.
+    @param scan the {!scan_trace} of this program's no-steal run, already
+    computed by the caller: implies [~symbolic] and saves its recording.
     @param reach precedence backend for the per-worker SP+ detectors
     (default [Dset]); verdicts are backend-independent, only the cost
     model changes. *)
@@ -246,7 +246,7 @@ val exhaustive_check :
   ?with_obs:bool ->
   ?prune:bool ->
   ?symbolic:bool ->
-  ?max_pairs:int ->
+  ?scan:scan ->
   ?reach:Rader_reach.Reach.backend ->
   (Rader_runtime.Engine.ctx -> 'a) ->
   result

@@ -36,13 +36,18 @@ type indexed = {
   parent : int array; (* node id -> parent node id, -1 at root *)
   is_p : bool array;
   depth : int array;
-  leaf_node : (int, int) Hashtbl.t; (* strand id -> node id *)
+  leaf_node : int array; (* strand id -> preorder node id, -1 if not a leaf *)
+  heb : int array; (* strand id -> Hebrew (P children swapped) leaf rank *)
 }
 
 let index t =
   let count = ref 0 in
+  let max_leaf = ref (-1) in
   let rec count_nodes = function
-    | Leaf _ -> incr count
+    | Leaf s ->
+        if s < 0 then invalid_arg "Sp_tree.index: negative leaf strand id";
+        incr count;
+        if s > !max_leaf then max_leaf := s
     | S (a, b) | P (a, b) ->
         incr count;
         count_nodes a;
@@ -53,34 +58,54 @@ let index t =
   let parent = Array.make n (-1) in
   let is_p = Array.make n false in
   let depth = Array.make n 0 in
-  let leaf_node = Hashtbl.create 64 in
+  let leaves = Array.make n 0 in
+  let leaf_node = Array.make (!max_leaf + 1) (-1) in
+  let heb = Array.make (!max_leaf + 1) (-1) in
   let next = ref 0 in
+  (* Preorder ids: a node's left child is [id + 1] and every child id
+     exceeds its parent's. Returns the subtree's leaf count. *)
   let rec go t p d =
     let id = !next in
     incr next;
     parent.(id) <- p;
     depth.(id) <- d;
-    (match t with
-    | Leaf s ->
-        if Hashtbl.mem leaf_node s then
-          invalid_arg "Sp_tree.index: duplicate leaf strand id";
-        Hashtbl.replace leaf_node s id
-    | S (a, b) ->
-        go a id (d + 1);
-        go b id (d + 1)
-    | P (a, b) ->
-        is_p.(id) <- true;
-        go a id (d + 1);
-        go b id (d + 1));
-    ()
+    let l =
+      match t with
+      | Leaf s ->
+          if leaf_node.(s) >= 0 then
+            invalid_arg "Sp_tree.index: duplicate leaf strand id";
+          leaf_node.(s) <- id;
+          1
+      | S (a, b) -> children id d a b
+      | P (a, b) ->
+          is_p.(id) <- true;
+          children id d a b
+    in
+    leaves.(id) <- l;
+    l
+  and children id d a b =
+    let la = go a id (d + 1) in
+    la + go b id (d + 1)
   in
-  go t (-1) 0;
-  { parent; is_p; depth; leaf_node }
+  ignore (go t (-1) 0);
+  (* Hebrew order visits a P node's right child first. [hoff.(id)] is the
+     Hebrew rank of the subtree's first leaf: a child skips its sibling's
+     leaves when it is a P node's left child or an S node's right child.
+     Parents precede children in preorder, so one forward pass fills it. *)
+  let hoff = Array.make n 0 in
+  for id = 1 to n - 1 do
+    let p = parent.(id) in
+    let left = id = p + 1 in
+    let skip = leaves.(p) - leaves.(id) in
+    hoff.(id) <- (hoff.(p) + if left = is_p.(p) then skip else 0)
+  done;
+  Array.iteri (fun s node -> if node >= 0 then heb.(s) <- hoff.(node)) leaf_node;
+  { parent; is_p; depth; leaf_node; heb }
 
 let node_of ix u =
-  match Hashtbl.find_opt ix.leaf_node u with
-  | Some n -> n
-  | None -> invalid_arg "Sp_tree: unknown leaf strand"
+  if u >= 0 && u < Array.length ix.leaf_node && ix.leaf_node.(u) >= 0 then
+    ix.leaf_node.(u)
+  else invalid_arg "Sp_tree: unknown leaf strand"
 
 (* Walk both nodes up to their LCA, applying [visit] to every internal node
    stepped onto (i.e., every proper ancestor of a start node up to and
@@ -119,7 +144,15 @@ let all_s_path ix u v =
     !ok
   end
 
-let parallel ix u v = u <> v && lca_kind ix u v = `P
+let hebrew ix u =
+  ignore (node_of ix u);
+  ix.heb.(u)
+
+(* Preorder leaf ids follow English (left-to-right) order. The LCA of two
+   leaves is a P node exactly when it is the one node whose children the
+   English and Hebrew orders visit in opposite sequence (Lemma 4). *)
+let parallel ix u v =
+  u <> v && (node_of ix u < node_of ix v) <> (ix.heb.(u) < ix.heb.(v))
 
 let to_dot ?(leaf_attrs = fun _ -> []) t =
   let g = Rader_support.Dot.create "sp_parse_tree" in

@@ -11,8 +11,11 @@
 
     Lemma 2: [peers(u) = peers(v)] iff the tree path from [u] to [v]
     consists entirely of S nodes. Lemma 4 of Feng & Leiserson: [u ‖ v] iff
-    their least common ancestor is a P node. This module provides both
-    queries; the Peer-Set tests use them as an independent oracle. *)
+    their least common ancestor is a P node — equivalently, iff the
+    {e English} order (left-to-right leaves) and the {e Hebrew} order
+    (leaves with every P node's children swapped) disagree on [u] and [v].
+    This module provides both queries; the Peer-Set tests use them as an
+    independent oracle. *)
 
 type t =
   | Leaf of int  (** strand id *)
@@ -36,16 +39,18 @@ val function_tree : t list -> t
 (** [leaves t] is the leaf strand ids in left-to-right (= serial) order. *)
 val leaves : t -> int list
 
-(** Preprocessed form supporting O(depth) path queries. *)
+(** Preprocessed form: O(depth) path queries, O(1) order labels. *)
 type indexed
 
-(** [index t] preprocesses the tree. @raise Invalid_argument if a strand id
-    appears in two leaves. *)
+(** [index t] preprocesses the tree in O(nodes), including every leaf's
+    rank in both orders. Label arrays are indexed by strand id, so
+    ids should be dense. @raise Invalid_argument if a strand id is
+    negative or appears in two leaves. *)
 val index : t -> indexed
 
 (** [lca_kind ix u v] is [`S] or [`P]: the kind of the least common ancestor
-    of leaves [u] and [v]. @raise Invalid_argument for unknown leaves or
-    [u = v]. *)
+    of leaves [u] and [v], found by walking the tree (O(depth)).
+    @raise Invalid_argument for unknown leaves or [u = v]. *)
 val lca_kind : indexed -> int -> int -> [ `S | `P ]
 
 (** [all_s_path ix u v] is true iff every internal node on the tree path
@@ -53,8 +58,16 @@ val lca_kind : indexed -> int -> int -> [ `S | `P ]
     exactly when [peers(u) = peers(v)]. [all_s_path ix u u = true]. *)
 val all_s_path : indexed -> int -> int -> bool
 
+(** [hebrew ix u] is leaf [u]'s rank in the order that visits every P
+    node's right child before its left. For [u] left of [v] in {!leaves}
+    (serially earlier), [u ‖ v] iff [hebrew ix v < hebrew ix u].
+    @raise Invalid_argument for an unknown leaf. *)
+val hebrew : indexed -> int -> int
+
 (** [parallel ix u v] is true iff the LCA of [u] and [v] is a P node — by
-    Feng & Leiserson's Lemma 4, exactly when [u ‖ v]. *)
+    Feng & Leiserson's Lemma 4, exactly when [u ‖ v]. O(1): compares the
+    two leaves' English and Hebrew ranks. @raise Invalid_argument for
+    unknown leaves ([parallel ix u u = false]). *)
 val parallel : indexed -> int -> int -> bool
 
 (** [to_dot t] renders the parse tree in Graphviz format (S nodes as

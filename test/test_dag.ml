@@ -252,6 +252,22 @@ let prop_sp_tree_vs_dag =
             ls)
         ls)
 
+let prop_sp_tree_labels =
+  QCheck2.Test.make
+    ~name:"order labels: Hebrew a permutation, parallel = P-node LCA"
+    ~count:300 gen_sp_tree (fun tree ->
+      let ix = Sp_tree.index tree in
+      let ls = Sp_tree.leaves tree in
+      let n = List.length ls in
+      List.sort compare (List.map (Sp_tree.hebrew ix) ls) = List.init n Fun.id
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun v ->
+                 u = v || Sp_tree.parallel ix u v = (Sp_tree.lca_kind ix u v = `P))
+               ls)
+           ls)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -277,5 +293,5 @@ let () =
           Alcotest.test_case "to_dag roundtrip" `Quick test_sp_tree_to_dag_roundtrip;
           Alcotest.test_case "errors" `Quick test_sp_tree_errors;
         ] );
-      qsuite "properties" [ prop_sp_tree_vs_dag ];
+      qsuite "properties" [ prop_sp_tree_vs_dag; prop_sp_tree_labels ];
     ]

@@ -9,8 +9,12 @@
      replayed through the serial SP+ detector, must elicit a race on
      exactly that location (no unconfirmed claims ever surface as races);
    - certificates: a reducer-free read-only program verifies with zero
-     replays (empty residual + clean scan); a truncated scan falls back
-     to replaying the no-steal spec and stays sound;
+     replays (empty residual + clean scan);
+   - exactness: the O(T log T) order-label scan and lint's R002/R005
+     pairs equal the quadratic pair-loop oracle ([Scan_oracle]) on
+     generated programs and on every demo; a location with more access
+     pairs than any budget would allow still yields its race, to verify,
+     R002 and R006 alike;
    - R006: a spec-independent race is flagged both by
      [Symbolic.always_racy_locs] and by the lint rule when fed the
      verification result;
@@ -22,6 +26,7 @@ open Rader_runtime
 open Rader_core
 open Rader_analysis
 module G = Rader_testkit.Gen_program
+module Oracle = Rader_testkit.Scan_oracle
 module Demos = Rader_benchsuite.Demos
 module Reach = Rader_reach.Reach
 
@@ -35,8 +40,8 @@ let demo name =
   | Ok p -> p
   | Error m -> Alcotest.fail m
 
-let verify_ok ?reach ?max_pairs ~name prog =
-  match Witness.verify ?reach ?max_pairs ~name prog with
+let verify_ok ?reach ~name prog =
+  match Witness.verify ?reach ~name prog with
   | Ok w -> w
   | Error f -> Alcotest.failf "%s: verify crashed: %s" name (Diag.to_string f)
 
@@ -152,18 +157,95 @@ let test_zero_replays () =
   check "replays" 0 w.Witness.n_replays;
   check "residual" 0 w.Witness.n_residual;
   checkb "whole family skipped" true (w.Witness.n_skipped = w.Witness.n_specs);
-  checkb "family nonempty" true (w.Witness.n_specs > 0);
-  checkb "not truncated" false w.Witness.truncated
+  checkb "family nonempty" true (w.Witness.n_specs > 0)
 
-let test_truncated_fallback () =
-  (* a 1-pair budget truncates the scan; soundness demands the no-steal
-     replay be kept and the verdict stay correct *)
-  let w = verify_ok ~max_pairs:1 ~name:"read-only" read_only_prog in
-  checkb "truncated" true w.Witness.truncated;
-  checkb "still race-free" true (w.Witness.racy_locs = []);
-  checkb "fell back to replaying" true (w.Witness.n_replays >= 1);
-  let wb = verify_ok ~max_pairs:1 ~name:"fig1-buggy" (demo "fig1-buggy") in
-  checkb "truncated racy program still racy" true (wb.Witness.racy_locs <> [])
+(* ---------- exactness: the scan against the quadratic oracle ---------- *)
+
+let loc_pairs findings =
+  List.filter_map
+    (fun (f : Lint.finding) ->
+      if f.Lint.rule = "R002" || f.Lint.rule = "R005" then
+        Some
+          ( f.Lint.rule,
+            Scanf.sscanf f.Lint.subject "loc:%d(" Fun.id,
+            f.Lint.strands )
+      else None)
+    findings
+  |> List.sort compare
+
+(* [None] when the scan, R002 and R005 all match the oracle *)
+let scan_mismatch (ir : Ir.t) =
+  let trace = ir.Ir.trace in
+  if Symbolic.scan ir <> Oracle.scan ir.Ir.ix trace then Some "scan record"
+  else if loc_pairs (Lint.run ir) <> Oracle.lint_pairs ir.Ir.ix trace then
+    Some "lint R002/R005 pairs"
+  else None
+
+let prop_scan_exact ~with_reducers ~racy =
+  QCheck2.Test.make
+    ~name:
+      (Printf.sprintf "exact scan ≡ pair-loop oracle (reducers=%b racy=%b)"
+         with_reducers racy)
+    ~count:200 ~print:G.print
+    (G.gen ~with_reducers ~racy)
+    (fun p ->
+      match Ir.of_program ~max_events:200_000 (G.interpret p) with
+      | Error _ -> QCheck2.assume_fail ()
+      | Ok ir -> (
+          match scan_mismatch ir with
+          | None -> true
+          | Some what -> QCheck2.Test.fail_reportf "%s differs from the oracle" what))
+
+let test_demo_scans () =
+  List.iter
+    (fun name ->
+      match Ir.of_program (demo name) with
+      | Error _ -> ()
+      | Ok ir -> (
+          match scan_mismatch ir with
+          | None -> ()
+          | Some what -> Alcotest.failf "%s: %s differs from the oracle" name what))
+    Demos.demo_names
+
+(* ---------- exactness on a pair-heavy location ---------- *)
+
+(* 600 serial reads of loc 0, then a parallel write/write pair on it:
+   about 180k serially ordered access pairs precede the race, which a
+   per-location pair budget of 100k used to drop silently. *)
+let many_reads_prog ctx =
+  let c = Cell.make_in ctx ~label:"hot" 0 in
+  let sum = ref 0 in
+  for _ = 1 to 600 do
+    sum := !sum + Cell.read ctx c
+  done;
+  let a =
+    Cilk.spawn ctx (fun ctx ->
+        Cell.write ctx c 1;
+        0)
+  in
+  Cell.write ctx c 2;
+  Cilk.sync ctx;
+  !sum + Cilk.get ctx a
+
+let test_pair_heavy_location () =
+  let w = verify_ok ~name:"many-reads" many_reads_prog in
+  checkb "complete" true w.Witness.complete;
+  Alcotest.(check (list int)) "verify: loc 0 racy" [ 0 ] w.Witness.racy_locs;
+  Alcotest.(check (list int))
+    "spec-independent" [ 0 ] w.Witness.spec_independent;
+  let ir =
+    match Ir.of_program many_reads_prog with
+    | Ok ir -> ir
+    | Error f -> Alcotest.fail (Diag.to_string f)
+  in
+  let findings = Lint.run ~verify:w ir in
+  let fired rule =
+    List.exists
+      (fun f -> f.Lint.rule = rule && f.Lint.subject = "loc:0(hot)")
+      findings
+  in
+  checkb "R002 fires" true (fired "R002");
+  checkb "R006 fires" true (fired "R006")
 
 (* ---------- R006: spec-independent races ---------- *)
 
@@ -259,12 +341,20 @@ let () =
           Alcotest.test_case "demo witnesses replay-confirmed" `Quick
             test_demo_witnesses;
         ] );
+      ( "exactness",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_scan_exact ~with_reducers:true ~racy:true;
+            prop_scan_exact ~with_reducers:true ~racy:false;
+            prop_scan_exact ~with_reducers:false ~racy:true;
+          ]
+        @ [ Alcotest.test_case "demo scans match the oracle" `Quick test_demo_scans ] );
       ( "certificates",
         [
           Alcotest.test_case "zero replays on certified family" `Quick
             test_zero_replays;
-          Alcotest.test_case "truncated scan falls back" `Quick
-            test_truncated_fallback;
+          Alcotest.test_case "pair-heavy location stays exact" `Quick
+            test_pair_heavy_location;
         ] );
       ( "r006",
         [ Alcotest.test_case "spec-independent races" `Quick test_spec_independent ] );
